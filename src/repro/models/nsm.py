@@ -139,14 +139,15 @@ class NSMModel(StorageModel):
     ) -> list[tuple[Rid, NestedTuple]]:
         """Value selection by full scan (NSM has no access paths).
 
-        The predicate is evaluated on the stored key attribute only;
-        matching tuples are materialised in full.
+        Every page is fixed once, in page order, and the predicate is
+        evaluated on the frame: the ``int`` key attribute is read at its
+        serializer-plan offset without decoding the tuple
+        (:meth:`HeapFile.select_int`).  Only matching tuples are copied
+        and materialised in full.  A ``str`` key attribute is refused.
         """
-        out: list[tuple[Rid, NestedTuple]] = []
-        for rid, blob in heap.scan():
-            if self.serializer.decode_atom(schema, blob, key_attr) in keys:
-                out.append((rid, self.serializer.decode_flat(schema, blob)))
-        return out
+        pos = self.serializer.int_offset(schema, key_attr)
+        decode = self.serializer.decode_flat
+        return [(rid, decode(schema, blob)) for rid, blob in heap.select_int(pos, keys)]
 
     def _assemble(
         self,
@@ -532,12 +533,7 @@ class NSMIndexModel(NSMModel):
 
     def fetch_full_by_key(self, key: int) -> NestedTuple:
         # Value selection scans the root relation; sub-tuples via index.
-        found = False
-        for _, blob in self.stations.scan():
-            row = self.serializer.decode_flat(NSM_STATION, blob)
-            if row["Key"] == key:
-                found = True
-        if not found:
+        if not self._select(self.stations, NSM_STATION, "Key", {key}):
             raise InvalidAddressError(f"no station with key {key}")
         return self._fetch_assembled(key)
 

@@ -353,6 +353,20 @@ class NF2Serializer:
             return bytes(data[pos : pos + size]).rstrip(b"\x00").decode("utf-8")
         return _I32.unpack_from(data, pos)[0]
 
+    def int_offset(self, schema: RelationSchema, attr_name: str) -> int:
+        """Byte offset of an ``i32`` attribute inside a flat tuple.
+
+        Lets a page-level scan evaluate a key predicate on the stored
+        bytes (see :meth:`repro.storage.heap.HeapFile.select_int`).
+        String attributes are refused: they are not stored as ``i32``.
+        """
+        slot = self._plan(schema).atom_slots.get(attr_name)
+        if slot is None or slot[1]:
+            raise SerializationError(
+                f"relation {schema.name!r} has no integer attribute {attr_name!r}"
+            )
+        return slot[0]
+
     # -- nested encoding ----------------------------------------------------
 
     def encode_nested(self, value: NestedTuple) -> bytes:

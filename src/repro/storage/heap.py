@@ -9,7 +9,7 @@ likely to be stored clustered together").
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.errors import PageOverflowError, StorageError
 from repro.nf2.oid import Rid
@@ -458,9 +458,26 @@ class HeapFile:
             for slot, record in records:
                 yield Rid(page_id, slot), record
 
-    def scan_filter(self, predicate: Callable[[bytes], bool]) -> list[tuple[Rid, bytes]]:
-        """Full scan returning only records matching ``predicate``."""
-        return [(rid, record) for rid, record in self.scan() if predicate(record)]
+    def select_int(self, pos: int, keys) -> list[tuple[Rid, bytes]]:
+        """Value selection: the records whose ``i32`` at ``pos`` is in ``keys``.
+
+        Fixes every page exactly once, in page order, like :meth:`scan`
+        (same fixes, hits, misses and checksum verification), but the
+        predicate runs on the fixed frame and only matching records are
+        copied (:meth:`SlottedPage.select_int`).  Both halves of that
+        claim are checked by ``tests/storage/test_select_int.py``.
+        """
+        out: list[tuple[Rid, bytes]] = []
+        buffer = self.buffer
+        for page_id in self.segment.page_ids:
+            page = buffer.fix_view(page_id)
+            try:
+                matches = page.select_int(pos, keys)
+            finally:
+                buffer.unfix(page_id)
+            for slot, record in matches:
+                out.append((Rid(page_id, slot), record))
+        return out
 
     # -- statistics -----------------------------------------------------------------
 

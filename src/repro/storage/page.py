@@ -27,7 +27,9 @@ Python-level work per touch minimal:
 * all ``struct`` formats are precompiled :class:`struct.Struct`
   instances at module level;
 * :meth:`records` and :meth:`slots` decode the whole slot directory in
-  one ``unpack_from`` pass instead of one unpack per slot.
+  one ``unpack_from`` pass instead of one unpack per slot;
+* :meth:`select_int` evaluates a key predicate on the frame itself and
+  copies only the matching records out of it.
 
 The cache lives in the *view*, not the buffer.  Code that mutates the
 underlying ``bytearray`` behind a live view's back must create a fresh
@@ -53,6 +55,8 @@ _HEADER_UNPACK = _HEADER.unpack_from
 _HEADER_PACK = _HEADER.pack_into
 _SLOT_UNPACK = _SLOT.unpack_from
 _SLOT_PACK = _SLOT.pack_into
+_KEY = struct.Struct("<i")
+_KEY_UNPACK = _KEY.unpack_from
 
 #: Byte offset of the u32 page checksum inside the 36-byte header pad
 #: (the packed header fields occupy bytes 0..6, so the checksum sits in
@@ -393,6 +397,46 @@ class SlottedPage:
             for slot, (offset, length) in enumerate(zip(offsets, lengths))
             if offset != _TOMBSTONE
         ]
+
+    def select_int(self, pos: int, keys) -> list[tuple[int, bytes]]:
+        """``(slot, record)`` of every live record whose key is in ``keys``.
+
+        The key is the little-endian ``i32`` at byte ``pos`` of each
+        record, read straight from the frame (``bytearray`` or
+        zero-copy ``memoryview`` alike); only the matching records are
+        copied out.  Deleted slots are skipped.  A live record too short
+        to hold the key raises :class:`StorageError` instead of reading
+        the bytes of its neighbour.
+        """
+        n_slots = self._n_slots
+        if not n_slots:
+            return []
+        data = self.data
+        raw = _dir_struct(n_slots).unpack_from(
+            data, self.page_size - n_slots * SLOT_ENTRY_SIZE
+        )
+        offsets, lengths = raw[-2::-2], raw[-1::-2]
+        end = pos + _KEY.size
+        live = range(n_slots)
+        # Deleted slots have length 0, so any page with one takes the
+        # filtering pass below, as does a page with a too-short record.
+        if min(lengths) < end:
+            live = []
+            for slot, offset, length in zip(range(n_slots), offsets, lengths):
+                if offset == _TOMBSTONE:
+                    continue
+                if length < end:
+                    raise StorageError(
+                        f"record in slot {slot} is {length} bytes; "
+                        f"its key at offset {pos} needs {end}"
+                    )
+                live.append(slot)
+        out = []
+        for slot in live:
+            offset = offsets[slot]
+            if _KEY_UNPACK(data, offset + pos)[0] in keys:
+                out.append((slot, bytes(data[offset : offset + lengths[slot]])))
+        return out
 
     @property
     def live_records(self) -> int:

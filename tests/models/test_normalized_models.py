@@ -5,6 +5,8 @@ import pytest
 from repro.benchmark.config import BenchmarkConfig
 from repro.benchmark.generator import generate_stations
 from repro.benchmark.schema import key_of_oid
+from repro.errors import InvalidAddressError, SerializationError
+from repro.models.nsm import NSM_STATION
 from tests.conftest import build_loaded_model
 
 CFG = BenchmarkConfig(n_objects=40, seed=9)
@@ -43,6 +45,12 @@ class TestNSMScans:
         first = nsm.engine.metrics.snapshot().pages_read
         nsm.fetch_refs([key_of_oid(2)])
         assert nsm.engine.metrics.snapshot().pages_read == first  # all hits
+
+    @pytest.mark.parametrize("attr", ("Name", "Missing"))
+    def test_non_int_key_attribute_is_refused(self, stations, attr):
+        nsm = build_loaded_model("NSM", stations)
+        with pytest.raises(SerializationError):
+            nsm._select(nsm.stations, NSM_STATION, attr, {"x"})
 
     def test_four_relations_loaded(self, stations):
         nsm = build_loaded_model("NSM", stations)
@@ -87,6 +95,18 @@ class TestNSMIndex:
         idx.fetch_full_by_key(key_of_oid(3))
         pages = idx.engine.metrics.snapshot().pages_read
         assert pages >= idx.stations.n_pages
+
+    def test_index_value_selection_scans_past_the_hit(self, stations):
+        """The root scan fixes every Station page even after the match."""
+        idx = build_loaded_model("NSM+index", stations)
+        cold(idx)
+        idx.fetch_full_by_key(key_of_oid(0))
+        fixes = idx.engine.metrics.snapshot().page_fixes
+        assert fixes >= idx.stations.n_pages + 1
+        cold(idx)
+        with pytest.raises(InvalidAddressError):
+            idx.fetch_full_by_key(-1)
+        assert idx.engine.metrics.snapshot().page_fixes == idx.stations.n_pages
 
     def test_navigation_uses_one_call_per_level(self, stations):
         idx = build_loaded_model("NSM+index", stations)
