@@ -23,17 +23,15 @@ Differences from plain DSM, all reproduced here:
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.benchmark.schema import STATION_SCHEMA
-from repro.errors import InvalidAddressError
 from repro.models.base import Ref
 from repro.models.dsm import (
     SECTION_PLATFORMS,
     SECTION_ROOT,
     DirectModelBase,
 )
-from repro.nf2.values import NestedTuple
 
 
 class DASDBSDSMModel(DirectModelBase):
@@ -49,33 +47,6 @@ class DASDBSDSMModel(DirectModelBase):
     def _root_sections(self) -> list[int] | None:
         return [SECTION_ROOT]
 
-    # -- value selection ----------------------------------------------------------
-
-    def _scan_for_key(self, key: int) -> Iterator[NestedTuple]:
-        """Scan reading only header + root section per large object.
-
-        Matching objects are then fetched in full; the non-matching
-        majority never transfers its Platform/Sightseeing data pages.
-        """
-        for _, blob in self.heap.scan():
-            yield self.serializer.decode_nested(STATION_SCHEMA, blob)
-        for kind, handle in self._handles:
-            if kind != "long":
-                continue
-            (root_blob,) = self.long_store.read(handle, [SECTION_ROOT])
-            atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, root_blob, 0)
-            if atoms["Key"] == key:
-                yield self._decode_sections(self.long_store.read(handle))
-
-    def fetch_full_by_key(self, key: int) -> NestedTuple:
-        match: NestedTuple | None = None
-        for station in self._scan_for_key(key):
-            if station["Key"] == key:
-                match = station
-        if match is None:
-            raise InvalidAddressError(f"no station with key {key}")
-        return match
-
     # -- update: change-attribute with page-pool write-through ------------------------
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
@@ -86,30 +57,21 @@ class DASDBSDSMModel(DirectModelBase):
         needed. ... Unfortunately, in DASDBS each update operation
         allocates a page pool, of which all pages are written."  Every
         object therefore causes an immediate single-page write call.
+        The root is re-packed on its stored bytes
+        (:meth:`NF2Serializer.repack_flat`).
         """
+        repack = self.serializer.repack_flat
         for ref in self._dedupe(refs):
             kind, handle = self._handle(ref)
             if kind == "heap":
-                station = self.serializer.decode_nested(
-                    STATION_SCHEMA, self.heap.read(handle)
-                )
-                updated = station.replace_atoms(**changes)
-                self.heap.update(
-                    handle, self.serializer.encode_nested(updated), write_through=True
-                )
+                record = repack(STATION_SCHEMA, self.heap.read(handle), changes)
+                self.heap.update(handle, record, write_through=True)
             else:
                 (root_blob,) = self.long_store.read(handle, [SECTION_ROOT])
-                atoms, _ = self.serializer._decode_flat_part(
-                    STATION_SCHEMA, root_blob, 0
-                )
-                atoms.update(changes)
-                shell = NestedTuple(
-                    STATION_SCHEMA, atoms, {"Platform": [], "Sightseeing": []}
-                )
                 self.long_store.patch_section(
                     handle,
                     SECTION_ROOT,
-                    self.serializer.encode_flat(shell),
+                    repack(STATION_SCHEMA, root_blob, changes),
                     write_through=True,
                 )
 

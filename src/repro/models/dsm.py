@@ -14,7 +14,7 @@ replacement of the entire nested tuple (Section 5.3).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.benchmark.schema import (
     PLATFORM_SCHEMA,
@@ -34,6 +34,10 @@ from repro.storage.page import SlottedPage
 SECTION_ROOT = 0
 SECTION_PLATFORMS = 1
 SECTION_SIGHTSEEINGS = 2
+
+#: Where navigation finds references: Station/Platform/Connection.
+_LINK_PATH = ("Platform", "Connection")
+_LINK_ATTR = "OidConnection"
 
 
 class DirectModelBase(StorageModel):
@@ -189,7 +193,7 @@ class DirectModelBase(StorageModel):
         atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, sections[0], 0)
         platforms = self.serializer.decode_subtuple_list(PLATFORM_SCHEMA, sections[1])
         sights = self.serializer.decode_subtuple_list(SIGHTSEEING_SCHEMA, sections[2])
-        return NestedTuple(
+        return NestedTuple._from_trusted(
             STATION_SCHEMA, atoms, {"Platform": platforms, "Sightseeing": sights}
         )
 
@@ -209,7 +213,11 @@ class DirectModelBase(StorageModel):
         return None
 
     def _root_sections(self) -> list[int] | None:
-        """Sections transferred when reading the root record (None = all)."""
+        """Sections transferred when reading the root record (None = all).
+
+        Root reads and the per-object key test of a value selection
+        both use it.
+        """
         return None
 
     # -- retrieval ----------------------------------------------------------------
@@ -227,23 +235,50 @@ class DirectModelBase(StorageModel):
         DSM has no access path on ``Key``, so every object is read (in
         its access granularity) and tested; the scan does not stop at
         the first hit (the relation is unordered and keys are not known
-        to be unique to the storage layer).
+        to be unique to the storage layer), and the last match wins.
         """
-        match: NestedTuple | None = None
-        for station in self._scan_for_key(key):
-            if station["Key"] == key:
-                match = station
-        if match is None:
+        matches = self._scan_for_key(key)
+        if not matches:
             raise InvalidAddressError(f"no station with key {key}")
-        return match
+        return matches[-1]
 
-    def _scan_for_key(self, key: int) -> Iterator[NestedTuple]:
-        """Objects in storage order, read at full granularity (DSM)."""
-        for _, blob in self.heap.scan():
-            yield self.serializer.decode_nested(STATION_SCHEMA, blob)
+    def _scan_for_key(self, key: int) -> list[NestedTuple]:
+        """The stations with ``Key == key``, in storage order.
+
+        The key is tested on the stored bytes and only matches are
+        decoded.  Heap pages are each fixed once, in page order
+        (:meth:`HeapFile.select_int`, the fixes of a ``scan``); then
+        each large object is read at root granularity
+        (:meth:`_read_long_for_key`).
+        """
+        key_pos = self.serializer.int_offset(STATION_SCHEMA, "Key")
+        decode = self.serializer.decode_nested
+        out = [
+            decode(STATION_SCHEMA, blob)
+            for _, blob in self.heap.select_int(key_pos, (key,))
+        ]
         for kind, handle in self._handles:
             if kind == "long":
-                yield self._decode_sections(self.long_store.read(handle))
+                station = self._read_long_for_key(handle, key)
+                if station is not None:
+                    out.append(station)
+        return out
+
+    def _read_long_for_key(self, handle: LongObjectAddress, key: int) -> NestedTuple | None:
+        """Read the object's root sections and test the key there.
+
+        DSM reads the whole object once; DASDBS-DSM reads header + root
+        section and fetches only a match in full, so the non-matching
+        majority never transfers its Platform/Sightseeing data pages.
+        """
+        wanted = self._root_sections()
+        sections = self.long_store.read(handle, wanted)
+        root = sections[0] if wanted is None else sections[wanted.index(SECTION_ROOT)]
+        if self.serializer.decode_atom(STATION_SCHEMA, root, "Key") != key:
+            return None
+        if wanted is not None:
+            sections = self.long_store.read(handle)
+        return self._decode_sections(sections)
 
     def scan_all(self) -> int:
         count = 0
@@ -315,57 +350,57 @@ class DirectModelBase(StorageModel):
         """
         out: list[list[Ref]] = []
         wanted = self._navigation_sections()
+        walk = self.serializer.walk_ints
+        walk_list = self.serializer.walk_list_ints
         for ref in refs:
             kind, handle = self._handle(ref)
             if kind == "heap":
-                station = self.serializer.decode_nested(
-                    STATION_SCHEMA, self.heap.read(handle)
-                )
-                platforms = station.subtuples("Platform")
+                blob = self.heap.read(handle)
+                out.append(walk(STATION_SCHEMA, blob, _LINK_PATH, _LINK_ATTR))
             else:
                 sections = self.long_store.read(handle, wanted)
                 blob = sections[1] if wanted is None else sections[wanted.index(SECTION_PLATFORMS)]
-                platforms = self.serializer.decode_subtuple_list(PLATFORM_SCHEMA, blob)
-            group: list[Ref] = []
-            for platform in platforms:
-                for connection in platform.subtuples("Connection"):
-                    group.append(connection["OidConnection"])
-            out.append(group)
+                out.append(walk_list(PLATFORM_SCHEMA, blob, _LINK_PATH[1:], _LINK_ATTR))
         return out
 
     def fetch_roots(self, refs: Sequence[Ref]) -> list[dict[str, Any]]:
+        """Root atoms per ref; only the flat part is decoded."""
         out: list[dict[str, Any]] = []
         wanted = self._root_sections()
+        decode_flat = self.serializer._decode_flat_part
         for ref in refs:
             kind, handle = self._handle(ref)
             if kind == "heap":
-                station = self.serializer.decode_nested(
-                    STATION_SCHEMA, self.heap.read(handle)
-                )
-                out.append(station.atoms())
+                blob = self.heap.read(handle)
             else:
                 sections = self.long_store.read(handle, wanted)
                 blob = sections[0] if wanted is None else sections[wanted.index(SECTION_ROOT)]
-                atoms, _ = self.serializer._decode_flat_part(STATION_SCHEMA, blob, 0)
-                out.append(atoms)
+            atoms, _ = decode_flat(STATION_SCHEMA, blob, 0)
+            out.append(atoms)
         return out
 
     # -- update (replace whole nested tuple) --------------------------------------------
 
     def update_roots(self, refs: Sequence[Ref], changes: Mapping[str, Any]) -> None:
+        """Replace each object whole (Section 5.3) with its root atoms changed.
+
+        The stored root is re-packed in place of decode, replace and
+        re-encode (:meth:`NF2Serializer.repack_flat`, same bytes, same
+        validation); a large object gets its other sections back
+        untouched, and :meth:`LongObjectStore.replace` still rewrites
+        and dirties every page.
+        """
+        repack = self.serializer.repack_flat
         for ref in self._dedupe(refs):
             kind, handle = self._handle(ref)
             if kind == "heap":
-                station = self.serializer.decode_nested(
-                    STATION_SCHEMA, self.heap.read(handle)
-                )
-                updated = station.replace_atoms(**changes)
-                self.heap.update(handle, self.serializer.encode_nested(updated))
+                self.heap.update(handle, repack(STATION_SCHEMA, self.heap.read(handle), changes))
             else:
                 sections = self.long_store.read(handle)
-                station = self._decode_sections(sections)
-                updated = station.replace_atoms(**changes)
-                self.long_store.replace(handle, self._encode_sections(updated))
+                sections[SECTION_ROOT] = repack(
+                    STATION_SCHEMA, sections[SECTION_ROOT], changes
+                )
+                self.long_store.replace(handle, sections)
 
     # -- statistics -------------------------------------------------------------------------
 

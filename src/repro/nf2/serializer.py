@@ -44,6 +44,17 @@ implementation.  It is the parity oracle: the optimized encoder must be
 byte-identical to it (``tests/nf2/test_serializer_parity.py``) and the
 perf harness (:mod:`repro.experiments.perf`) reports the speedup of the
 plan-based paths against it.
+
+Two kernels answer questions on the stored bytes without building any
+tuple: :meth:`NF2Serializer.walk_ints` / :meth:`~NF2Serializer.walk_list_ints`
+collect one ``i32`` attribute of every tuple at the end of a
+sub-relation path, stepping over sub-trees by the ``total_len`` field of
+each tuple header, and :meth:`NF2Serializer.repack_flat` rewrites atoms
+of a tuple's leading flat part in a copy of its bytes.  Both rely on the
+layout above: a tuple's ``total_len`` covers its whole sub-tree, and its
+sub-relations follow its flat part in schema order
+(``tests/nf2/test_projections.py`` checks them against decode-and-walk
+and decode-replace-encode).
 """
 
 from __future__ import annotations
@@ -52,15 +63,17 @@ import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.errors import SerializationError
+from repro.errors import SchemaError, SerializationError
 from repro.nf2.schema import AttributeType, RelationSchema
-from repro.nf2.values import NestedTuple
+from repro.nf2.values import NestedTuple, _check_atom
 
 _FLAT_TAG = 0x01
 _NESTED_TAG = 0x02
 
 _U32 = struct.Struct("<I")
 _I32 = struct.Struct("<i")
+_U32_UNPACK = _U32.unpack_from
+_I32_UNPACK = _I32.unpack_from
 
 
 @dataclass(frozen=True)
@@ -258,6 +271,68 @@ def _decode_plan(plan: _LayoutPlan, data, pos: int) -> tuple[NestedTuple, int]:
     return _from_trusted(plan.schema, atoms, subs), pos
 
 
+#: A compiled int walk: per path step the tuple's flat size and the
+#: flat sizes of the sub-relations stored before the followed one, then
+#: the flat size of the end tuples and the attribute's offset in them.
+_Walk = tuple[tuple[tuple[int, tuple[int, ...]], ...], int, int]
+
+
+def _corrupt_header(total: int, pos: int) -> SerializationError:
+    return SerializationError(
+        f"corrupt tuple header at byte {pos}: total_len {total} is shorter "
+        "than the tuple's flat part"
+    )
+
+
+def _skip_lists(data, pos: int, flat_sizes: tuple[int, ...], overhead: int) -> int:
+    """Position after one sub-tuple list per entry of ``flat_sizes``."""
+    for flat_size in flat_sizes:
+        (count,) = _U32_UNPACK(data, pos)
+        pos += overhead
+        for _ in range(count):
+            (total,) = _U32_UNPACK(data, pos)
+            if total < flat_size:
+                raise _corrupt_header(total, pos)
+            pos += total
+    return pos
+
+
+def _walk_list(
+    data, pos: int, walk: _Walk, depth: int, overhead: int, out: list[int]
+) -> int:
+    """Append the walked int of every end tuple below the list at ``pos``.
+
+    Returns the position just after the list.
+    """
+    levels, end_size, key_pos = walk
+    (count,) = _U32_UNPACK(data, pos)
+    pos += overhead
+    if depth == len(levels):
+        append = out.append
+        for _ in range(count):
+            (total,) = _U32_UNPACK(data, pos)
+            if total < end_size:
+                raise _corrupt_header(total, pos)
+            append(_I32_UNPACK(data, pos + key_pos)[0])
+            pos += total
+        return pos
+    flat_size, skipped = levels[depth]
+    for _ in range(count):
+        (total,) = _U32_UNPACK(data, pos)
+        if total < flat_size:
+            raise _corrupt_header(total, pos)
+        sub = pos + flat_size
+        if skipped:
+            sub = _skip_lists(data, sub, skipped, overhead)
+        _walk_list(data, sub, walk, depth + 1, overhead, out)
+        pos += total
+    return pos
+
+
+def _truncated(schema: RelationSchema) -> SerializationError:
+    return SerializationError(f"buffer too small to decode a {schema.name!r} tuple")
+
+
 class NF2Serializer:
     """Encode/decode nested tuples using a :class:`StorageFormat`."""
 
@@ -266,6 +341,9 @@ class NF2Serializer:
         # Plans keyed by id(schema); the schema object is pinned in the
         # value so a dead id can never be reused while the entry lives.
         self._plans: dict[int, _LayoutPlan] = {}
+        # Int walks keyed by (id(schema), path, attr); the schema is
+        # pinned by its plan in ``_plans``.
+        self._walks: dict[tuple[int, tuple[str, ...], str], _Walk] = {}
 
     def _plan(self, schema: RelationSchema) -> _LayoutPlan:
         plan = self._plans.get(id(schema))
@@ -458,11 +536,11 @@ class NF2Serializer:
         """Decode a blob produced by :meth:`encode_subtuple_list`."""
         plan = self._plan(sub_schema)
         view = memoryview(data)
-        (count,) = _U32.unpack_from(view, start)
-        pos = start + plan.subrel_overhead
         children: list[NestedTuple] = []
         append = children.append
         try:
+            (count,) = plan.counter_unpack(view, start)
+            pos = start + plan.subrel_overhead
             for _ in range(count):
                 child, pos = _decode_plan(plan, view, pos)
                 append(child)
@@ -471,6 +549,128 @@ class NF2Serializer:
                 f"buffer too small to decode a {sub_schema.name!r} tuple"
             ) from None
         return children
+
+    # -- projections on the stored bytes --------------------------------------
+
+    def _walk(self, schema: RelationSchema, path: tuple[str, ...], attr: str) -> _Walk:
+        key = (id(schema), path, attr)
+        walk = self._walks.get(key)
+        if walk is None:
+            plan = self._plan(schema)
+            levels = []
+            for name in path:
+                if name not in plan.sub_names:
+                    raise SerializationError(
+                        f"relation {plan.schema.name!r} has no sub-relation {name!r}"
+                    )
+                index = plan.sub_names.index(name)
+                skipped = tuple(sub.flat_size for sub in plan.sub_plans[:index])
+                levels.append((plan.flat_size, skipped))
+                plan = plan.sub_plans[index]
+            slot = plan.atom_slots.get(attr)
+            if slot is None or slot[1]:
+                raise SerializationError(
+                    f"relation {plan.schema.name!r} has no integer attribute {attr!r}"
+                )
+            walk = self._walks[key] = (tuple(levels), plan.flat_size, slot[0])
+        return walk
+
+    def walk_ints(
+        self,
+        schema: RelationSchema,
+        data,
+        path: tuple[str, ...],
+        attr: str,
+        start: int = 0,
+    ) -> list[int]:
+        """The ``i32`` ``attr`` of every tuple at the end of ``path``.
+
+        ``data[start:]`` holds a nested tuple of ``schema`` as written by
+        :meth:`encode_nested`; ``path`` names one sub-relation per level
+        (``("Platform", "Connection")``).  The values come back in
+        storage order, which is the order of walking the decoded tuple.
+        Nothing is decoded: sub-trees are stepped over by the
+        ``total_len`` of their tuple headers.  A buffer shorter than the
+        tuple's ``total_len``, or a ``total_len`` shorter than its
+        tuple's flat part, raises :class:`SerializationError`.
+        """
+        if not path:
+            raise SerializationError("walk_ints needs at least one sub-relation")
+        walk = self._walk(schema, path, attr)
+        flat_size, skipped = walk[0][0]
+        overhead = self.format.subrel_overhead
+        out: list[int] = []
+        try:
+            (total,) = _U32_UNPACK(data, start)
+            if total < flat_size:
+                raise _corrupt_header(total, start)
+            if start + total > len(data):
+                raise _truncated(schema)
+            pos = start + flat_size
+            if skipped:
+                pos = _skip_lists(data, pos, skipped, overhead)
+            _walk_list(data, pos, walk, 1, overhead, out)
+        except struct.error:
+            raise _truncated(schema) from None
+        return out
+
+    def walk_list_ints(
+        self,
+        sub_schema: RelationSchema,
+        data,
+        path: tuple[str, ...],
+        attr: str,
+        start: int = 0,
+    ) -> list[int]:
+        """:meth:`walk_ints` over a blob of :meth:`encode_subtuple_list`.
+
+        The walk starts at the listed ``sub_schema`` tuples; an empty
+        ``path`` collects ``attr`` of those tuples themselves.  A buffer
+        that ends before the list does raises :class:`SerializationError`.
+        """
+        walk = self._walk(sub_schema, path, attr)
+        out: list[int] = []
+        try:
+            end = _walk_list(data, start, walk, 0, self.format.subrel_overhead, out)
+        except struct.error:
+            raise _truncated(sub_schema) from None
+        if end > len(data):
+            raise _truncated(sub_schema)
+        return out
+
+    def repack_flat(
+        self, schema: RelationSchema, data, changes: Mapping[str, object]
+    ) -> bytes:
+        """A copy of ``data`` with atoms of its leading flat part changed.
+
+        ``data`` is a tuple of ``schema`` as :meth:`encode_flat` or
+        :meth:`encode_nested` wrote it.  The result is byte-identical to
+        re-encoding ``decode(data).replace_atoms(**changes)``, and each
+        change is validated as :meth:`NestedTuple.replace_atoms` does:
+        :class:`SchemaError` for a name that is not an atomic attribute,
+        :class:`SerializationError` for a value of the wrong type, range
+        or size.  Sub-relations are copied untouched.
+        """
+        plan = self._plan(schema)
+        if len(data) < plan.flat_size or _U32_UNPACK(data, 0)[0] > len(data):
+            raise _truncated(schema)
+        slots = plan.atom_slots
+        for name in changes:
+            if name not in slots:
+                raise SchemaError(
+                    f"relation {schema.name!r} has no atomic attribute {name!r}"
+                )
+        out = bytearray(data)
+        for attr in schema.attributes:
+            if attr.name not in changes:
+                continue
+            value = _check_atom(attr.name, attr.type, attr.size, changes[attr.name])
+            pos, is_str, size = slots[attr.name]
+            if is_str:
+                out[pos : pos + size] = value.encode("utf-8").ljust(size, b"\x00")
+            else:
+                _I32.pack_into(out, pos, value)
+        return bytes(out)
 
 
 class ReferenceNF2Serializer:

@@ -655,50 +655,66 @@ class BufferManager:
 
         This models DASDBS fetching the set of pages of one object (or
         one section) with a single call.  Duplicate ids are fixed once
-        per occurrence (each occurrence must be unfixed).
+        per occurrence (each occurrence must be unfixed); the first
+        occurrence of a missing page is its miss, later ones are hits.
+
+        One pass classifies the request and fixes the resident pages, so
+        making room for the missing ones cannot evict a requested page;
+        if loading fails (``BufferFullError``, a read or checksum error)
+        those fixes are released again.  The policy then sees the loads
+        (``on_insert``, in first-occurrence order) before the accesses
+        of the hits, and listeners fire once per occurrence, in request
+        order, after the metrics are recorded.
         """
-        unique = list(dict.fromkeys(page_ids))
-        resident = [pid for pid in unique if pid in self._frames]
-        missing = [pid for pid in unique if pid not in self._frames]
-        # Pin the already-resident requested pages so that making room
-        # for the missing ones cannot evict them out from under us.
-        for pid in resident:
-            self._frames[pid].fix_count += 1
-        try:
-            if missing:
+        frames_get = self._frames_get
+        out: dict[int, bytearray] = {}
+        missing: dict[int, bool] = {}
+        fixed: list[_Frame] = []
+        for pid in page_ids:
+            frame = frames_get(pid)
+            if frame is None:
+                missing[pid] = False
+                out[pid] = None  # placeholder: keeps request order
+            else:
+                frame.fix_count += 1
+                fixed.append(frame)
+                out[pid] = frame.data
+        frames = self._frames
+        if missing:
+            try:
                 self._make_room(len(missing))
-                contents = self.disk.read_pages(missing)
+                contents = self.disk.read_pages(list(missing))
                 verify = bool(self._checksum_guards)
                 zero_copy = self._zero_copy
+                on_insert = self.policy.on_insert
                 for pid, content in zip(missing, contents):
                     if verify:
                         self._verify_read(pid, content)
-                    self._frames[pid] = _Frame(
-                        content if zero_copy else bytearray(content)
-                    )
-                    self.policy.on_insert(pid)
-        finally:
-            for pid in resident:
-                self._frames[pid].fix_count -= 1
-        out: dict[int, bytearray] = {}
-        missing_set = set(missing)
-        frames = self._frames
-        on_access = self._on_access
+                    frame = frames[pid] = _Frame(content if zero_copy else bytearray(content))
+                    on_insert(pid)
+                    out[pid] = frame.data
+            except BaseException:
+                for frame in fixed:
+                    frame.fix_count -= 1
+                raise
+        n_fixes = len(page_ids)
         metrics = self.metrics
-        listener = self._notify_fix
+        metrics.page_fixes += n_fixes
+        metrics.buffer_misses += len(missing)
+        metrics.buffer_hits += n_fixes - len(missing)
+        on_access = self._on_access
+        notify = self._notify_fix
         for pid in page_ids:
-            frame = frames[pid]
-            if pid in missing_set:
-                metrics.record_fix(hit=False)
-                missing_set.discard(pid)
+            if pid in missing:  # loaded above, fixed here
+                frames[pid].fix_count += 1
+                if missing[pid]:
+                    on_access(pid)  # a repeat: a hit
+                else:
+                    missing[pid] = True  # first occurrence: the miss
             else:
-                on_access(pid)
-                metrics.page_fixes += 1
-                metrics.buffer_hits += 1
-            frame.fix_count += 1
-            if listener is not None:
-                listener(pid)
-            out[pid] = frame.data
+                on_access(pid)  # resident at entry, fixed above
+            if notify is not None:
+                notify(pid)
         return out
 
     def new_page(self, page_id: int) -> bytearray:

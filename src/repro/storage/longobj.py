@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
 from typing import Sequence
 
@@ -36,6 +37,14 @@ from repro.storage.constants import PAGE_HEADER_SIZE
 from repro.storage.segment import Segment
 
 _DIR_MAGIC = 0x0B1E
+#: Directory preamble: magic, section count, data-page count, padded size.
+_DIR_PREAMBLE = struct.Struct("<HHII")
+
+
+@lru_cache(maxsize=256)
+def _dir_entries(n_data_pages: int, n_sections: int) -> struct.Struct:
+    """The directory body: data page ids, then (offset, length) per section."""
+    return struct.Struct(f"<{n_data_pages + 2 * n_sections}I")
 
 
 @dataclass(frozen=True)
@@ -138,18 +147,17 @@ class LongObjectStore:
     def _write_directory(
         self, header_ids: list[int], directory: ObjectDirectory, dir_size: int
     ) -> None:
+        n_data_pages = len(directory.data_page_ids)
         blob = bytearray()
-        blob += struct.pack(
-            "<HHII",
-            _DIR_MAGIC,
-            directory.n_sections,
-            len(directory.data_page_ids),
-            dir_size,
+        blob += _DIR_PREAMBLE.pack(_DIR_MAGIC, directory.n_sections, n_data_pages, dir_size)
+        blob += _dir_entries(n_data_pages, directory.n_sections).pack(
+            *directory.data_page_ids,
+            *(
+                value
+                for entry in zip(directory.section_offsets, directory.section_lengths)
+                for value in entry
+            ),
         )
-        for page_id in directory.data_page_ids:
-            blob += struct.pack("<I", page_id)
-        for offset, length in zip(directory.section_offsets, directory.section_lengths):
-            blob += struct.pack("<II", offset, length)
         if len(blob) < dir_size:
             blob += bytes(dir_size - len(blob))
         self._scatter(header_ids, bytes(blob))
@@ -169,34 +177,60 @@ class LongObjectStore:
     # -- reading ----------------------------------------------------------------
 
     def read_directory(self, address: LongObjectAddress) -> ObjectDirectory:
-        """Fix the header pages (one I/O call) and decode the directory."""
-        header_ids = list(address.header_page_ids)
-        frames = self.buffer.fix_many(header_ids)
+        """Fix the header pages (one I/O call) and decode the directory.
+
+        The directory is unpacked straight from the fixed frames with
+        precompiled structs.  A page without the directory magic raises
+        :class:`InvalidAddressError`; a directory whose counts or section
+        ranges do not fit its pages raises :class:`StorageError` naming
+        the root page.  Either way no page stays fixed.
+        """
+        header_ids = address.header_page_ids
+        buffer = self.buffer
+        frames = buffer.fix_many(header_ids)
         try:
-            blob = b"".join(
-                bytes(frames[pid][PAGE_HEADER_SIZE:]) for pid in header_ids
-            )
+            directory = self._parse_directory(address, frames)
         finally:
             for pid in header_ids:
-                self.buffer.unfix(pid)
-        magic, n_sections, n_data_pages, _ = struct.unpack_from("<HHII", blob, 0)
+                buffer.unfix(pid)
+        self._directories[address.root_page_id] = directory
+        return directory
+
+    def _parse_directory(self, address: LongObjectAddress, frames) -> ObjectDirectory:
+        header_ids = address.header_page_ids
+        if len(header_ids) == 1:
+            blob = frames[header_ids[0]]
+            base = PAGE_HEADER_SIZE
+        else:
+            blob = b"".join(
+                memoryview(frames[pid])[PAGE_HEADER_SIZE:] for pid in header_ids
+            )
+            base = 0
+        magic, n_sections, n_data_pages, _ = _DIR_PREAMBLE.unpack_from(blob, base)
         if magic != _DIR_MAGIC:
             raise InvalidAddressError(
                 f"page {address.root_page_id} does not hold an object directory"
             )
-        pos = struct.calcsize("<HHII")
-        data_ids = struct.unpack_from(f"<{n_data_pages}I", blob, pos) if n_data_pages else ()
-        pos += 4 * n_data_pages
-        offsets: list[int] = []
-        lengths: list[int] = []
-        for _ in range(n_sections):
-            offset, length = struct.unpack_from("<II", blob, pos)
-            offsets.append(offset)
-            lengths.append(length)
-            pos += 8
-        directory = ObjectDirectory(tuple(data_ids), tuple(offsets), tuple(lengths))
-        self._directories[address.root_page_id] = directory
-        return directory
+        body = base + _DIR_PREAMBLE.size
+        needed = 4 * n_data_pages + 8 * n_sections
+        if body + needed > len(blob):
+            raise StorageError(
+                f"corrupt object directory on page {address.root_page_id}: "
+                f"{n_data_pages} data pages and {n_sections} sections need "
+                f"{needed} bytes, its header pages hold {len(blob) - body}"
+            )
+        entries = _dir_entries(n_data_pages, n_sections).unpack_from(blob, body)
+        offsets = entries[n_data_pages::2]
+        lengths = entries[n_data_pages + 1 :: 2]
+        capacity = n_data_pages * self.payload_per_page
+        for offset, length in zip(offsets, lengths):
+            if offset + length > capacity:
+                raise StorageError(
+                    f"corrupt object directory on page {address.root_page_id}: "
+                    f"section bytes {offset}..{offset + length} exceed its "
+                    f"{n_data_pages} data pages"
+                )
+        return ObjectDirectory(entries[:n_data_pages], offsets, lengths)
 
     def read(
         self,
@@ -209,43 +243,50 @@ class LongObjectStore:
         pages in a second call.  With ``section_ids=None`` every section
         (all data pages) is read — the DSM behaviour.  With a subset,
         only the data pages overlapping those sections are transferred —
-        the DASDBS-DSM behaviour (Equation 5).
+        the DASDBS-DSM behaviour (Equation 5).  Each section is copied
+        once out of its pages' frames.
         """
         directory = self.read_directory(address)
+        offsets = directory.section_offsets
+        lengths = directory.section_lengths
         if section_ids is None:
-            wanted = list(range(directory.n_sections))
+            wanted: Sequence[int] = range(len(lengths))
         else:
             wanted = list(section_ids)
             for sid in wanted:
-                if not 0 <= sid < directory.n_sections:
+                if not 0 <= sid < len(lengths):
                     raise InvalidAddressError(f"object has no section {sid}")
 
-        page_indexes = self._pages_for_sections(directory, wanted)
-        needed_ids = [directory.data_page_ids[i] for i in page_indexes]
-        frames = self.buffer.fix_many(needed_ids)
+        data_ids = directory.data_page_ids
+        needed_ids = [data_ids[i] for i in self._pages_for_sections(directory, wanted)]
+        buffer = self.buffer
+        frames = buffer.fix_many(needed_ids)
         try:
-            chunks = {
-                index: bytes(frames[directory.data_page_ids[index]][PAGE_HEADER_SIZE:])
-                for index in page_indexes
-            }
+            payload = self.payload_per_page
+            out: list[bytes] = []
+            for sid in wanted:
+                start = offsets[sid]
+                end = start + lengths[sid]
+                if start == end:
+                    out.append(b"")
+                    continue
+                first = start // payload
+                last = (end - 1) // payload
+                lo = PAGE_HEADER_SIZE + start - first * payload
+                if first == last:
+                    frame = memoryview(frames[data_ids[first]])
+                    out.append(bytes(frame[lo : lo + end - start]))
+                    continue
+                hi = PAGE_HEADER_SIZE + end - last * payload
+                pieces = [memoryview(frames[data_ids[first]])[lo:]]
+                for index in range(first + 1, last):
+                    pieces.append(memoryview(frames[data_ids[index]])[PAGE_HEADER_SIZE:])
+                pieces.append(memoryview(frames[data_ids[last]])[PAGE_HEADER_SIZE:hi])
+                out.append(b"".join(pieces))
+            return out
         finally:
             for pid in needed_ids:
-                self.buffer.unfix(pid)
-
-        payload = self.payload_per_page
-        out: list[bytes] = []
-        for sid in wanted:
-            start, end = directory.section_range(sid)
-            piece = bytearray()
-            pos = start
-            while pos < end:
-                page_index = pos // payload
-                in_page = pos - page_index * payload
-                take = min(end - pos, payload - in_page)
-                piece += chunks[page_index][in_page : in_page + take]
-                pos += take
-            out.append(bytes(piece))
-        return out
+                buffer.unfix(pid)
 
     def pages_of(self, address: LongObjectAddress) -> tuple[int, int]:
         """(header pages, data pages) of an object, from cached metadata."""
@@ -276,7 +317,7 @@ class LongObjectStore:
         all_ids = list(address.header_page_ids) + list(directory.data_page_ids)
         self.buffer.fix_many(all_ids)
         try:
-            stream = b"".join(sections)
+            stream = memoryview(b"".join(sections))
             payload = self.payload_per_page
             for index, pid in enumerate(directory.data_page_ids):
                 chunk = stream[index * payload : (index + 1) * payload]
@@ -362,19 +403,19 @@ class LongObjectStore:
         return directory
 
     def _pages_for_sections(
-        self, directory: ObjectDirectory, section_ids: list[int]
+        self, directory: ObjectDirectory, section_ids: Sequence[int]
     ) -> list[int]:
         payload = self.payload_per_page
+        offsets = directory.section_offsets
+        lengths = directory.section_lengths
         indexes: set[int] = set()
         for sid in section_ids:
-            start, end = directory.section_range(sid)
-            if end == start:
-                continue
-            first = start // payload
-            last = (end - 1) // payload
-            indexes.update(range(first, last + 1))
+            length = lengths[sid]
+            if length:
+                start = offsets[sid]
+                indexes.update(range(start // payload, (start + length - 1) // payload + 1))
         return sorted(indexes)
 
     @staticmethod
     def _directory_encoding_size(n_sections: int, n_data_pages: int) -> int:
-        return struct.calcsize("<HHII") + 4 * n_data_pages + 8 * n_sections
+        return _DIR_PREAMBLE.size + 4 * n_data_pages + 8 * n_sections

@@ -1,9 +1,17 @@
 """Unit tests for the buffer manager: fixing, eviction, write-back."""
 
+import random
+
 import pytest
 
 from repro.errors import BufferError_, BufferFullError, InvalidAddressError
-from repro.storage.buffer import BufferManager, _contiguous_batches, make_policy
+from repro.storage.buffer import (
+    POLICY_NAMES,
+    BufferManager,
+    _contiguous_batches,
+    _Frame,
+    make_policy,
+)
 from repro.storage.disk import SimulatedDisk
 
 
@@ -128,6 +136,143 @@ class TestFixMany:
         pids = disk.allocate_many(3)
         with pytest.raises(BufferFullError):
             buf.fix_many(pids)
+        assert buf.fixed_pages() == []
+
+    def test_duplicates_of_a_missing_page_are_one_miss_then_hits(self):
+        disk, buf = make(capacity=8)
+        a, b = disk.allocate_many(2)
+        buf.fix(b)
+        buf.unfix(b)
+        seen = []
+        buf.add_fix_listener(seen.append)
+        disk.metrics.reset()
+        frames = buf.fix_many([a, b, a, b, a])
+        snap = disk.metrics.snapshot()
+        assert list(frames) == [a, b]
+        assert (snap.page_fixes, snap.buffer_misses, snap.buffer_hits) == (5, 1, 4)
+        assert snap.read_calls == 1
+        assert seen == [a, b, a, b, a]
+        assert buf._frames[a].fix_count == 3
+        assert buf._frames[b].fix_count == 2
+
+    def test_full_buffer_keeps_requested_resident_pages(self):
+        """Every other frame is fixed: the only unfixed frame is a
+        requested resident page, so the request must fail, unpinned."""
+        disk, buf = make(capacity=3)
+        a, b, c, d = disk.allocate_many(4)
+        for pid in (a, b, c):
+            buf.fix(pid)
+        buf.unfix(c)
+        before = disk.metrics.snapshot()
+        with pytest.raises(BufferFullError):
+            buf.fix_many([c, d, c])
+        assert disk.metrics.snapshot() == before
+        assert buf.is_resident(c)
+        assert sorted(buf.fixed_pages()) == [a, b]
+        buf.unfix(a)
+        frames = buf.fix_many([c, d, c])  # a is evictable now
+        assert list(frames) == [c, d]
+        assert buf.is_resident(b) and not buf.is_resident(a)
+        assert buf._frames[c].fix_count == 2
+
+    def test_failed_load_leaves_no_pin(self):
+        disk, buf = make(capacity=4)
+        a, b = disk.allocate_many(2)
+        buf.fix(a)
+        buf.unfix(a)
+
+        def failing(page_ids):
+            raise OSError("read failed")
+
+        disk.read_pages = failing
+        with pytest.raises(OSError):
+            buf.fix_many([a, b, a])
+        assert buf.fixed_pages() == []
+        del disk.read_pages
+        buf.fix_many([a, b])
+        assert sorted(buf.fixed_pages()) == [a, b]
+
+
+def _reference_fix_many(buf, page_ids):
+    """The classify-then-fix implementation ``fix_many`` replaced."""
+    unique = list(dict.fromkeys(page_ids))
+    resident = [pid for pid in unique if pid in buf._frames]
+    missing = [pid for pid in unique if pid not in buf._frames]
+    for pid in resident:
+        buf._frames[pid].fix_count += 1
+    try:
+        if missing:
+            buf._make_room(len(missing))
+            contents = buf.disk.read_pages(missing)
+            for pid, content in zip(missing, contents):
+                if buf._checksum_guards:
+                    buf._verify_read(pid, content)
+                buf._frames[pid] = _Frame(bytearray(content))
+                buf.policy.on_insert(pid)
+    finally:
+        for pid in resident:
+            buf._frames[pid].fix_count -= 1
+    out = {}
+    missing_set = set(missing)
+    for pid in page_ids:
+        frame = buf._frames[pid]
+        if pid in missing_set:
+            buf.metrics.record_fix(hit=False)
+            missing_set.discard(pid)
+        else:
+            buf._on_access(pid)
+            buf.metrics.page_fixes += 1
+            buf.metrics.buffer_hits += 1
+        frame.fix_count += 1
+        if buf._notify_fix is not None:
+            buf._notify_fix(pid)
+        out[pid] = frame.data
+    return out
+
+
+def _state(disk, buf, seen):
+    return (
+        disk.metrics.snapshot(),
+        [(pid, frame.fix_count, frame.dirty) for pid, frame in buf._frames.items()],
+        list(seen),
+    )
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("seed", (3, 11))
+def test_fix_many_matches_reference_implementation(policy, seed):
+    """Same metrics, residency, fix counts, eviction order and listener
+    sequence as the replaced implementation, over random requests with
+    duplicates, pinned frames, dirty evictions and full buffers."""
+    sides = []
+    for fix_many in (BufferManager.fix_many, _reference_fix_many):
+        disk = SimulatedDisk(page_size=128)
+        buf = BufferManager(disk, capacity=6, policy=make_policy(policy))
+        pids = disk.allocate_many(14)
+        seen = []
+        buf.add_fix_listener(seen.append)
+        sides.append((fix_many, disk, buf, pids, seen, []))
+    rng = random.Random(seed)
+    for step in range(400):
+        request = [rng.choice(range(14)) for _ in range(rng.randint(0, 7))]
+        unfix_all = rng.random() < 0.8
+        dirty = rng.random() < 0.3
+        states = []
+        for fix_many, disk, buf, pids, seen, held in sides:
+            ids = [pids[i] for i in request]
+            try:
+                frames = fix_many(buf, ids)
+            except BufferFullError:
+                outcome = "full"
+            else:
+                outcome = (list(frames), [bytes(frames[pid]) for pid in frames])
+                held.extend(ids)
+            if unfix_all or len(held) > 5:
+                for pid in held:
+                    buf.unfix(pid, dirty=dirty)
+                held.clear()
+            states.append((outcome, _state(disk, buf, seen)))
+        assert states[0] == states[1], f"diverged at step {step}"
 
 
 class TestEviction:
