@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.benchmark.config import BenchmarkConfig
+from repro.benchmark.workload import navigate
 from repro.errors import UnsupportedOperationError
 from repro.models.base import StorageModel
 from repro.storage.metrics import MetricsSnapshot, ScaledMetrics
@@ -136,23 +137,6 @@ class QuerySuite:
 
     # -- query 2: navigation ----------------------------------------------------------
 
-    def _navigation_loop(self, root_oid: int) -> list[int]:
-        """One root → children → grand-children traversal.
-
-        Returns the grand-children references.  Reference lists are
-        de-duplicated between levels (an object is fetched once per
-        level; repeated buffer hits would not change page counts, only
-        inflate fixes).
-        """
-        model = self.model
-        root_ref = model.ref_of(root_oid)
-        model.fetch_roots([root_ref])
-        children = model._dedupe(model.fetch_refs([root_ref]))
-        grand = model._dedupe(model.fetch_refs(children)) if children else []
-        if grand:
-            model.fetch_roots(grand)
-        return grand
-
     def _run_navigation(
         self, query: str, loops: int, update: bool, independent: bool = False
     ) -> QueryResult:
@@ -174,7 +158,7 @@ class QuerySuite:
             for index, root in enumerate(roots):
                 if independent and index > 0:
                     self.engine.restart_buffer()
-                grand = self._navigation_loop(root)
+                grand = navigate(self.model, root)[1]
                 visited += len(grand)
                 if update and grand:
                     self.model.update_roots(grand, {"Name": f"updated-{index}"})

@@ -366,8 +366,26 @@ class WorkloadResult:
         return self.raw.buffer_hits / self.raw.page_fixes
 
 
-class WorkloadExecutor:
-    """Replays a compiled trace against one loaded storage model.
+def navigate(model: StorageModel, root_oid: int) -> tuple[list, list]:
+    """The query-2 traversal: root → children → grand-children.
+
+    Returns the child and grand-child references, each list
+    de-duplicated (an object is fetched once per level; repeated buffer
+    hits would not change page counts, only inflate fixes).
+    """
+    root_ref = model.ref_of(root_oid)
+    model.fetch_roots([root_ref])
+    children = model._dedupe(model.fetch_refs([root_ref]))
+    grand = model._dedupe(model.fetch_refs(children)) if children else []
+    if grand:
+        model.fetch_roots(grand)
+    return children, grand
+
+
+def execute_op(
+    model: StorageModel, op: Operation, index: int
+) -> tuple[int] | list[int] | None:
+    """Run one trace operation; the single definition of its semantics.
 
     Operation semantics, mapped onto the model primitives the paper
     queries use:
@@ -376,16 +394,64 @@ class WorkloadExecutor:
       without physical identifiers (plain NSM) fall back to the value
       selection ``fetch_full_by_key`` (query-1b style), which is what a
       "point lookup" costs on a model with no access path;
-    * **navigate** — the query-2 traversal: root → children →
-      grand-children, projecting only the needed parts;
+    * **navigate** — :func:`navigate`, projecting only the needed parts;
     * **scan** — read every object in storage order (query 1c);
     * **update** — rewrite the atomic root attributes of one object
       (the query-3 update step, without the traversal).
 
-    Measurement discipline mirrors ``QuerySuite._measure``: the buffer
-    restarts cold, counters reset, the trace runs (``warm=False``
-    additionally restarts the buffer before every operation), a final
-    flush models the database disconnect, then the counters are read.
+    Returns the touched OIDs — ``(oid,)`` for point/update, root then
+    children then grand-children for navigate — or ``None`` for a full
+    scan: the shape :func:`observe_op` feeds to the observers.  Every
+    operation is idempotent (re-applying the same root change
+    converges), so a retry may re-run it.
+    """
+    kind = op.kind
+    if kind == "point":
+        if model.supports_oid_access:
+            model.fetch_full(model.ref_of(op.oid))
+        else:
+            model.fetch_full_by_key(model.key_of(op.oid))
+        return (op.oid,)
+    if kind == "navigate":
+        children, grand = navigate(model, op.oid)
+        oid_of = model.oid_of
+        return [op.oid, *map(oid_of, children), *map(oid_of, grand)]
+    if kind == "scan":
+        model.scan_all()
+        return None
+    if kind == "update":
+        model.update_roots([model.ref_of(op.oid)], {"Name": f"workload-{index}"})
+        return (op.oid,)
+    raise BenchmarkError(f"unknown operation kind {kind!r}")
+
+
+def observe_op(
+    touched: tuple[int] | list[int] | None,
+    stats: "AccessStats | None",
+    online: "OnlineRecluster | None",
+) -> None:
+    """Feed one completed operation's :func:`execute_op` result to the
+    statistics collector, then to the online-recluster controller."""
+    if stats is not None:
+        if touched is None:
+            stats.record_scan()
+        else:
+            stats.record_operation(touched)
+    if online is not None:
+        if touched is None:
+            online.note_scan()
+        else:
+            online.note_operation(touched)
+
+
+class WorkloadExecutor:
+    """Replays a compiled trace against one loaded storage model.
+
+    Each operation runs through :func:`execute_op`.  Measurement
+    discipline mirrors ``QuerySuite._measure``: the buffer restarts
+    cold, counters reset, the trace runs (``warm=False`` additionally
+    restarts the buffer before every operation), a final flush models
+    the database disconnect, then the counters are read.
     """
 
     def __init__(
@@ -406,10 +472,10 @@ class WorkloadExecutor:
         self.engine = model.engine
         #: Optional clustering statistics collector.  When present, the
         #: executor reports every operation's touched OIDs to it and
-        #: attaches it to the buffer manager's ``fix_listener`` for the
-        #: duration of the replay.  Collection is purely observational:
-        #: the metrics of a replay with and without a collector are
-        #: identical.
+        #: registers its ``page_fixed`` hook with the buffer manager's
+        #: fix listeners for the duration of the replay.  Collection is
+        #: purely observational: the metrics of a replay with and
+        #: without a collector are identical.
         self.stats = stats
         #: Optional online-recluster controller.  Fed the same touched
         #: OIDs as ``stats``, after each operation completes — its
@@ -418,96 +484,44 @@ class WorkloadExecutor:
         #: its I/O where the counters can see it).
         self.online = online
         #: Bounded retry of transient injected faults (0 = off, the
-        #: default: the replay loop is byte-for-byte the pre-fault
-        #: loop).  Every operation primitive is idempotent — reads
-        #: obviously, updates because re-applying the same root change
-        #: converges — so a retried operation is safe; retries are
-        #: tallied in :attr:`retries`.  An exhausted budget raises
+        #: default: no retry wrapper runs at all).  Retries are tallied
+        #: in :attr:`retries`.  An exhausted budget raises
         #: :class:`~repro.errors.RetryExhaustedError`: the flat replay
         #: has no per-session ledger to degrade into, so it fails loud.
         self.retry_limit = retry_limit
         self.retries = 0
-
-    def _resilient(self, fn):
-        """Wrap an operation primitive in the bounded retry loop."""
-        from repro.fault.retry import call_with_retries
-        from repro.errors import LatchError, TransientIOError
-
-        def wrapped(*args, **kwargs):
-            result, used = call_with_retries(
-                lambda: fn(*args, **kwargs),
-                limit=self.retry_limit,
-                retry_on=(TransientIOError, LatchError),
-            )
-            self.retries += used
-            return result
-
-        return wrapped
 
     def run(self) -> WorkloadResult:
         engine = self.engine
         engine.restart_buffer()
         engine.reset_metrics()
         warm = self.trace.spec.warm
-        # Replay loop with the dispatch hoisted: the per-op closure and
-        # dict allocations of a naive ``self._execute(op)`` loop are
-        # measurable across a sweep grid's thousands of operations.
         model = self.model
-        point = self._point
-        navigate = self._navigate
-        scan_all = model.scan_all
-        update_roots = model.update_roots
-        ref_of = model.ref_of
-        oid_of = model.oid_of
         restart = engine.restart_buffer
         stats = self.stats
         online = self.online
+        observed = stats is not None or online is not None
         buffer = engine.buffer
+        step = execute_op
         if self.retry_limit:
-            point = self._resilient(point)
-            navigate = self._resilient(navigate)
-            scan_all = self._resilient(scan_all)
-            update_roots = self._resilient(update_roots)
+            from repro.fault.retry import call_with_retries
+
+            def step(model, op, index):
+                touched, used = call_with_retries(
+                    lambda: execute_op(model, op, index), limit=self.retry_limit
+                )
+                self.retries += used
+                return touched
+
         if stats is not None:
-            # Registered alongside (not instead of) any other hooks —
-            # the serving layer's latch bookkeeping may be listening on
-            # the same buffer.
             buffer.add_fix_listener(stats.page_fixed)
         try:
             for index, op in enumerate(self.trace.ops):
                 if not warm and index > 0:
                     restart()
-                kind = op.kind
-                if kind == "point":
-                    point(op.oid)
-                    if stats is not None:
-                        stats.record_operation((op.oid,))
-                    if online is not None:
-                        online.note_operation((op.oid,))
-                elif kind == "navigate":
-                    children, grand = navigate(op.oid)
-                    if stats is not None or online is not None:
-                        touched = [
-                            op.oid, *map(oid_of, children), *map(oid_of, grand)
-                        ]
-                        if stats is not None:
-                            stats.record_operation(touched)
-                        if online is not None:
-                            online.note_operation(touched)
-                elif kind == "scan":
-                    scan_all()
-                    if stats is not None:
-                        stats.record_scan()
-                    if online is not None:
-                        online.note_scan()
-                elif kind == "update":
-                    update_roots([ref_of(op.oid)], {"Name": f"workload-{index}"})
-                    if stats is not None:
-                        stats.record_operation((op.oid,))
-                    if online is not None:
-                        online.note_operation((op.oid,))
-                else:  # pragma: no cover - specs cannot produce unknown kinds
-                    raise BenchmarkError(f"unknown operation kind {kind!r}")
+                touched = step(model, op, index)
+                if observed:
+                    observe_op(touched, stats, online)
         finally:
             if stats is not None:
                 buffer.remove_fix_listener(stats.page_fixed)
@@ -519,26 +533,6 @@ class WorkloadExecutor:
             op_counts=self.trace.op_counts(),
         )
 
-    # -- operation dispatch --------------------------------------------------
-
-    def _point(self, oid: int) -> None:
-        if self.model.supports_oid_access:
-            self.model.fetch_full(self.model.ref_of(oid))
-        else:
-            # No physical identifiers (plain NSM): a point lookup is a
-            # value selection, exactly as in query 1b.
-            self.model.fetch_full_by_key(self.model.key_of(oid))
-
-    def _navigate(self, oid: int) -> tuple[list, list]:
-        model = self.model
-        root_ref = model.ref_of(oid)
-        model.fetch_roots([root_ref])
-        children = model._dedupe(model.fetch_refs([root_ref]))
-        grand = model._dedupe(model.fetch_refs(children)) if children else []
-        if grand:
-            model.fetch_roots(grand)
-        return children, grand
-
 
 def run_workload(
     spec: WorkloadSpec,
@@ -548,32 +542,6 @@ def run_workload(
     """Compile ``spec`` for ``model`` and execute it."""
     trace = compile_trace(spec, n_objects or model.n_objects)
     return WorkloadExecutor(model, trace).run()
-
-
-def run_multi_session(
-    spec: WorkloadSpec,
-    model: StorageModel,
-    clients: int,
-    n_objects: int | None = None,
-    **serving_kwargs: Any,
-):
-    """Drive ``clients`` concurrent sessions of ``spec`` on one model.
-
-    The multi-session sibling of :func:`run_workload`: client 0 replays
-    the spec's own trace, further clients replay derived traces (same
-    mix and skew, derived seeds), and the serving layer interleaves
-    them deterministically over the shared engine.  With ``clients=1``
-    the aggregate counters are identical to :func:`run_workload`.
-    Keyword arguments (``scheduler``, ``workers``, ``priorities``, …)
-    pass through to :class:`~repro.serving.server.ServingExecutor`;
-    returns its :class:`~repro.serving.server.ServingResult`.  Imported
-    lazily — the serving layer sits above this module.
-    """
-    from repro.serving import run_serving
-
-    return run_serving(
-        model, spec, clients, n_objects=n_objects, **serving_kwargs
-    )
 
 
 # -- CLI spec parsing ---------------------------------------------------------

@@ -16,8 +16,9 @@ measurement machinery instead of adding a second instrumentation layer:
   OIDs each replayed operation touches (``stats=`` parameter), which
   feeds heat and affinity;
 * the :class:`~repro.storage.buffer.BufferManager` reports every page
-  fix through its ``fix_listener`` hook, which feeds the page-level
-  touch counters — the physical-layout view of the same replay.
+  fix to its fix listeners (``add_fix_listener``), which feeds the
+  page-level touch counters — the physical-layout view of the same
+  replay.
 
 Everything here is deterministic: the collector only counts, the trace
 is seeded, and no counter feeding the paper's metrics is touched —
@@ -85,7 +86,7 @@ class AccessStats:
     # -- buffer-side recording ----------------------------------------------
 
     def page_fixed(self, page_id: int) -> None:
-        """``BufferManager.fix_listener`` hook: one page fix observed."""
+        """``BufferManager`` fix-listener hook: one page fix observed."""
         self.page_fixes += 1
         self.page_touches[page_id] = self.page_touches.get(page_id, 0) + 1
 

@@ -40,10 +40,6 @@ class BufferFullError(BufferError_):
     """All buffer frames are fixed; no victim can be evicted."""
 
 
-class LatchError(BufferError_):
-    """Session latch-protocol violation (e.g. unfix by a non-holder)."""
-
-
 class StorageFaultError(StorageError):
     """An injected (or detected) storage-level fault.
 

@@ -1,10 +1,10 @@
 """Bounded retry with deterministic backoff.
 
 The serving layer's graceful-degradation primitive: transient faults
-(:class:`~repro.errors.TransientIOError`, a lost latch race) are
-retried a bounded number of times; the backoff is *simulated time* —
-a deterministic exponential schedule the closed-loop clock adds to the
-operation's service time, so retried runs reproduce byte-for-byte.
+(:class:`~repro.errors.TransientIOError`) are retried a bounded number
+of times; the backoff is *simulated time* — a deterministic
+exponential schedule the closed-loop clock adds to the operation's
+service time, so retried runs reproduce byte-for-byte.
 """
 
 from __future__ import annotations

@@ -19,10 +19,12 @@ StorageEngine`, the way a production object server faces its users:
   the paper's own integer counters — byte-reproducible, like every
   other number this repository emits.
 
-Cross-session safety at the frame level lives in
-:meth:`repro.storage.buffer.BufferManager.session_fix` and friends (the
-per-frame latch ledger); the serving layer enables it whenever more
-than one session shares a buffer.
+Cross-session safety at the frame level comes from the ticket
+protocol alone: every engine call happens inside the ticket-serialised
+``ServingExecutor._execute_granted``, so at most one page fix is ever in
+flight, whatever the worker count
+(``tests/serving/test_serving.py::TestDeterminism::
+test_engine_fixes_never_overlap``).
 """
 
 from __future__ import annotations

@@ -52,13 +52,10 @@ from repro.benchmark.workload import (
     WorkloadSpec,
     WorkloadTrace,
     compile_trace,
+    execute_op,
+    observe_op,
 )
-from repro.errors import (
-    LatchError,
-    RetryExhaustedError,
-    ServingError,
-    TransientIOError,
-)
+from repro.errors import RetryExhaustedError, ServingError
 from repro.fault.retry import (
     DEFAULT_BACKOFF_BASE_MS,
     DEFAULT_RETRY_LIMIT,
@@ -236,11 +233,11 @@ class ServingExecutor:
         #: identical across worker counts.
         self.stats = stats
         #: Graceful degradation under injected faults: transient read
-        #: errors and latch conflicts are retried up to ``retry_limit``
-        #: times with a deterministic exponential backoff charged to the
-        #: simulated clock; an operation that exhausts its budget is
-        #: abandoned (counted in the session's ``errors``) and serving
-        #: continues.  Fault-free runs never enter any of these paths.
+        #: errors are retried up to ``retry_limit`` times with a
+        #: deterministic exponential backoff charged to the simulated
+        #: clock; an operation that exhausts its budget is abandoned
+        #: (counted in the session's ``errors``) and serving continues.
+        #: Fault-free runs never enter any of these paths.
         self.retry_limit = retry_limit
         self.backoff_base_ms = backoff_base_ms
         #: Optional online-recluster controller, fed after each granted
@@ -292,8 +289,6 @@ class ServingExecutor:
         engine = self.engine
         engine.restart_buffer()
         engine.reset_metrics()
-        if len(self.sessions) > 1 or self.workers > 1:
-            engine.buffer.enable_latching()
         self._clock_ms = 0.0
         self._global_index = 0
         self._active = None
@@ -376,9 +371,12 @@ class ServingExecutor:
     def _execute_granted(self, session: Session) -> None:
         """One granted operation: replay, cost, closed-loop accounting.
 
-        Runs strictly serially (plain loop or ticket order), so the
-        engine, the simulated clock and the session ledgers need no
-        further synchronisation.
+        Runs strictly serially (plain loop or ticket order), and it is
+        the only place a worker calls into the engine, so the engine,
+        its buffer frames, the simulated clock and the session ledgers
+        need no further synchronisation
+        (``tests/serving/test_serving.py::TestDeterminism::
+        test_engine_fixes_never_overlap``).
         """
         index, op = session.next_operation()
         engine = self.engine
@@ -401,9 +399,8 @@ class ServingExecutor:
         self._active = session
         try:
             touched, retries_used = call_with_retries(
-                lambda: self._execute_op(op, index),
+                lambda: execute_op(self.model, op, index),
                 limit=self.retry_limit,
-                retry_on=(TransientIOError, LatchError),
                 on_retry=on_retry,
             )
         except RetryExhaustedError:
@@ -436,51 +433,8 @@ class ServingExecutor:
         # its fixes to no session and no service time — the "background"
         # half of online reclustering.  Still inside the ticket-
         # serialised section: deterministic across worker counts.
-        if errored:
-            return  # an abandoned operation feeds no observers
-        if self.stats is not None:
-            if touched is None:
-                self.stats.record_scan()
-            else:
-                self.stats.record_operation(touched)
-        if self.online is not None:
-            if touched is None:
-                self.online.note_scan()
-            else:
-                self.online.note_operation(touched)
-
-    def _execute_op(self, op, index: int) -> list[int] | tuple[int, ...] | None:
-        """One operation, with exactly the single-stream semantics.
-
-        Returns the touched OIDs in the single-stream executor's
-        reporting order (root, children, grand-children), or ``None``
-        for a full scan — the shape the stats/online observers consume.
-        """
-        model = self.model
-        kind = op.kind
-        if kind == "point":
-            if model.supports_oid_access:
-                model.fetch_full(model.ref_of(op.oid))
-            else:
-                model.fetch_full_by_key(model.key_of(op.oid))
-            return (op.oid,)
-        elif kind == "navigate":
-            root_ref = model.ref_of(op.oid)
-            model.fetch_roots([root_ref])
-            children = model._dedupe(model.fetch_refs([root_ref]))
-            grand = model._dedupe(model.fetch_refs(children)) if children else []
-            if grand:
-                model.fetch_roots(grand)
-            oid_of = model.oid_of
-            return [op.oid, *map(oid_of, children), *map(oid_of, grand)]
-        elif kind == "scan":
-            model.scan_all()
-            return None
-        elif kind == "update":
-            model.update_roots([model.ref_of(op.oid)], {"Name": f"workload-{index}"})
-            return (op.oid,)
-        else:  # pragma: no cover - specs cannot produce unknown kinds
-            raise ServingError(f"unknown operation kind {kind!r}")
+        if not errored:  # an abandoned operation feeds no observers
+            observe_op(touched, self.stats, self.online)
 
     # -- results -------------------------------------------------------------
 

@@ -65,11 +65,11 @@ class SessionCounters:
 class Session:
     """One client of the shared engine: a compiled trace plus state.
 
-    ``session_id`` doubles as the latch-owner identity the buffer's
-    session_* entry points record, and ``priority`` is the weight the
-    priority scheduler grants by.  ``ready_at_ms`` is the closed-loop
-    clock: a session submits its next operation the instant its
-    previous one completes, so request latency is measured from here.
+    ``session_id`` is the client's index in the executor, and
+    ``priority`` is the weight the priority scheduler grants by.
+    ``ready_at_ms`` is the closed-loop clock: a session submits its next
+    operation the instant its previous one completes, so request latency
+    is measured from here.
     """
 
     __slots__ = ("session_id", "trace", "priority", "cursor", "counters", "ready_at_ms")

@@ -21,7 +21,6 @@ Models the DASDBS page buffer as used in the paper's measurements:
 from __future__ import annotations
 
 import random
-import threading
 from collections import OrderedDict, deque
 from typing import Callable, Iterable, Sequence
 
@@ -29,7 +28,6 @@ from repro.errors import (
     BufferError_,
     BufferFullError,
     InvalidAddressError,
-    LatchError,
     StorageFaultError,
 )
 from repro.storage.backends import contiguous_runs
@@ -49,13 +47,6 @@ class _Frame:
     generation the cached view was built at — a mismatch invalidates
     the cache.  Mutations *through* the cached view keep its header
     cache coherent by construction, so they do not bump the generation.
-
-    ``owners`` is the session-latch ledger: ``None`` on the
-    single-session fast path (no allocation, no bookkeeping), and a
-    ``{session_id: fix_count}`` dict once a session fixes the frame
-    through the latched API.  Session fixes are counted *inside*
-    ``fix_count`` (one total, attributed per holder), so eviction
-    protection needs no second check.
     """
 
     __slots__ = (
@@ -66,7 +57,6 @@ class _Frame:
         "gen",
         "view",
         "view_gen",
-        "owners",
     )
 
     def __init__(self, data: bytearray) -> None:
@@ -77,7 +67,6 @@ class _Frame:
         self.gen = 0
         self.view = None
         self.view_gen = -1
-        self.owners = None
 
     def adopt(self, data: bytearray) -> None:
         """Land a copy-on-write materialisation (see ``zero_copy``).
@@ -479,12 +468,7 @@ class BufferManager:
         # the hot-path dispatcher: None with no listeners, the listener
         # itself with exactly one, a fan-out closure otherwise.
         self._fix_listeners: list[Callable[[int], None]] = []
-        self._legacy_listener: Callable[[int], None] | None = None
         self._notify_fix: Callable[[int], None] | None = None
-        # Session latching (off by default): ``enable_latching`` arms a
-        # re-entrant latch serialising the session_* entry points, so
-        # multiple sessions can pin/unpin frames through one manager.
-        self._latch: threading.RLock | None = None
         # Bound-method caches for the hit fast path (the policy is fixed
         # for the manager's lifetime; re-resolving two attribute chains
         # per page fix is measurable at sweep scale).
@@ -577,30 +561,6 @@ class BufferManager:
     def fix_listeners(self) -> tuple[Callable[[int], None], ...]:
         """Registered listeners, in firing order."""
         return tuple(self._fix_listeners)
-
-    @property
-    def fix_listener(self) -> Callable[[int], None] | None:
-        """Single-slot compatibility view of the listener list.
-
-        Historically the manager had exactly one hook slot; this
-        property keeps that usage working (``buffer.fix_listener = fn``,
-        save/restore included) by managing one dedicated entry of the
-        list.  Assigning never disturbs listeners registered with
-        :meth:`add_fix_listener` — the single-slot limitation was fixed
-        precisely so the statistics collector and the serving layer's
-        latch bookkeeping can observe the same replay.
-        """
-        return self._legacy_listener
-
-    @fix_listener.setter
-    def fix_listener(self, listener: Callable[[int], None] | None) -> None:
-        previous = self._legacy_listener
-        if previous is not None:
-            self._fix_listeners.remove(previous)
-        if listener is not None:
-            self._fix_listeners.append(listener)
-        self._legacy_listener = listener
-        self._rebuild_fix_dispatch()
 
     def _rebuild_fix_dispatch(self) -> None:
         listeners = self._fix_listeners
@@ -806,120 +766,6 @@ class BufferManager:
         frame.fix_count -= 1
         if dirty:
             frame.dirty = True
-
-    # -- session latching -------------------------------------------------------
-    #
-    # The multi-session serving layer multiplexes several sessions onto
-    # one buffer.  The session_* entry points attribute every fix to its
-    # holding session in the frame's ``owners`` ledger, so the protocol
-    # can be *checked*: a session may only unfix what it fixed, a frame
-    # stays eviction-protected while any session holds it (the ordinary
-    # ``fix_count`` covers that), and a leaked fix is attributable.  The
-    # single-session paths above are untouched — with ``clients=1``
-    # nothing here runs, which is what keeps the seed goldens
-    # bit-identical.
-
-    def enable_latching(self) -> None:
-        """Arm the session latch (idempotent).
-
-        Serialises the session_* entry points with a re-entrant latch so
-        sessions on different threads can pin/unpin frames through one
-        manager.  Engine *operations* are additionally serialised by the
-        serving layer's grant protocol; the latch here protects the
-        pin/unpin bookkeeping itself.
-        """
-        if self._latch is None:
-            self._latch = threading.RLock()
-
-    @property
-    def latching(self) -> bool:
-        """Whether :meth:`enable_latching` has armed the session latch."""
-        return self._latch is not None
-
-    def session_fix(self, page_id: int, session_id: int) -> bytearray:
-        """Fix one page on behalf of ``session_id`` (latched).
-
-        Counts exactly like :meth:`fix` — same metrics, same replacement
-        updates — plus an ownership record.  Re-fixing by the same
-        session increments its count (double-fix refcounting); distinct
-        sessions hold independent counts on the same frame.
-        """
-        latch = self._latch
-        if latch is None:
-            self.enable_latching()
-            latch = self._latch
-        with latch:
-            data = self.fix(page_id)
-            frame = self._frames[page_id]
-            owners = frame.owners
-            if owners is None:
-                owners = frame.owners = {}
-            owners[session_id] = owners.get(session_id, 0) + 1
-            return data
-
-    def session_unfix(self, page_id: int, session_id: int, dirty: bool = False) -> None:
-        """Release one of ``session_id``'s fixes on ``page_id``.
-
-        Raises :class:`~repro.errors.LatchError` if the session holds no
-        fix on the page — unfixing another session's pin is the protocol
-        violation the ledger exists to catch.  Fixes held by *other*
-        sessions keep protecting the frame from eviction.
-        """
-        latch = self._latch
-        if latch is None:
-            raise LatchError("session latching is not enabled on this buffer")
-        with latch:
-            frame = self._frames.get(page_id)
-            if frame is None:
-                raise InvalidAddressError(f"page {page_id} is not resident")
-            owners = frame.owners
-            held = 0 if owners is None else owners.get(session_id, 0)
-            if held <= 0:
-                raise LatchError(
-                    f"session {session_id!r} holds no fix on page {page_id}"
-                )
-            if held == 1:
-                del owners[session_id]
-            else:
-                owners[session_id] = held - 1
-            self.unfix(page_id, dirty=dirty)
-
-    def session_fix_view(self, page_id: int, session_id: int) -> SlottedPage:
-        """Latched companion of :meth:`fix_view`: fix + cached view.
-
-        The view cache is shared across sessions (one frame, one view),
-        and the generation machinery keeps it coherent: a raw
-        ``page_data`` mutation by *any* session invalidates it for all.
-        """
-        self.session_fix(page_id, session_id)
-        return self._view(self._frames[page_id])
-
-    def session_fixes(self, session_id: int) -> dict[int, int]:
-        """Pages ``session_id`` currently holds fixed, with counts."""
-        held: dict[int, int] = {}
-        for pid, frame in self._frames.items():
-            if frame.owners and frame.owners.get(session_id, 0) > 0:
-                held[pid] = frame.owners[session_id]
-        return held
-
-    def release_session(self, session_id: int) -> int:
-        """Drop every fix ``session_id`` still holds; returns the count.
-
-        The disconnect path of the serving layer: a session that ends
-        (or dies) must not keep frames pinned forever.  Pages are left
-        clean/dirty as they already were.
-        """
-        latch = self._latch
-        if latch is None:
-            return 0
-        with latch:
-            released = 0
-            for pid, held in self.session_fixes(session_id).items():
-                frame = self._frames[pid]
-                del frame.owners[session_id]
-                frame.fix_count -= held
-                released += held
-            return released
 
     # -- write-back -----------------------------------------------------------------
 

@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.errors import (
-    LatchError,
-    RetryExhaustedError,
-    ServingError,
-    TransientIOError,
-)
+from repro.errors import RetryExhaustedError, ServingError, TransientIOError
 from repro.fault.retry import (
     DEFAULT_BACKOFF_BASE_MS,
     DEFAULT_RETRY_LIMIT,
     backoff_delay_ms,
     call_with_retries,
 )
+
+
+class Contended(Exception):
+    """A second retryable failure type, for multi-type ``retry_on``."""
 
 
 class Flaky:
@@ -62,9 +61,9 @@ class TestCallWithRetries:
             call_with_retries(Flaky(1, exc=ValueError), limit=4)
 
     def test_retry_on_extends_the_net(self):
-        fn = Flaky(2, exc=LatchError)
+        fn = Flaky(2, exc=Contended)
         result, used = call_with_retries(
-            fn, limit=4, retry_on=(TransientIOError, LatchError)
+            fn, limit=4, retry_on=(TransientIOError, Contended)
         )
         assert (result, used) == ("ok", 2)
 

@@ -1,16 +1,13 @@
-"""Session-interleaving fuzzer: K sessions vs a single-session shadow.
+"""Session-interleaving fuzzer: K pin holders on one shared buffer.
 
 A seeded generator drives K sessions through random fix / unfix / read
 / update traffic against **one** shared buffer (small enough to force
-eviction pressure), checking after every step that no frame a session
-holds fixed gets evicted.  Updates write unique tokens, mirrored into a
-shadow byte model, so a lost update — one session's write vanishing
-under another's traffic — is caught byte-for-byte at the end.
-
-Then the entire interleaved operation sequence replays flat on a fresh
-disk through the plain single-session ``fix``/``unfix`` API: the latch
-ledger is pure bookkeeping, so the multi-session run and its shadow
-replay must agree on every metric counter and on the final disk bytes.
+eviction pressure) through the plain ``fix``/``unfix`` API.  The test
+tracks which pages each session holds fixed and checks after every
+step that none of them was evicted.  Updates write unique tokens,
+mirrored into a shadow byte model, so a lost update — one session's
+write vanishing under another's traffic — is caught byte-for-byte,
+both on every read and in the final flushed disk image.
 
 Seeds follow the layer convention: the fixed default set always runs,
 ``REPRO_FUZZ_SEEDS=...`` extends it (see ``conftest.py``).
@@ -41,17 +38,14 @@ def build(seed):
     return disk, BufferManager(disk, capacity=CAPACITY), pages
 
 
-def test_session_interleaving_against_shadow_replay(fuzz_seed):
+def test_session_interleaving_against_shadow_model(fuzz_seed):
     rng = random.Random(fuzz_seed)
     disk, buf, pages = build(fuzz_seed)
-    buf.enable_latching()
 
-    # Shadow state: what every page must hold at the end, and the flat
-    # operation log the single-session replay re-executes.
+    # Shadow state: what every page must hold at the end, and the pins
+    # each session holds.
     expected = {pid: bytearray(disk.read_page(pid)) for pid in pages}
-    disk.metrics.reset()
     held = {sid: {} for sid in range(SESSIONS)}  # session -> {pid: count}
-    log = []
     token = 0
 
     def pinned_pages():
@@ -70,80 +64,47 @@ def test_session_interleaving_against_shadow_replay(fuzz_seed):
         op = rng.choice(choices)
         if op == "fix":
             pid = rng.choice(pages)
-            buf.session_fix(pid, sid)
+            buf.fix(pid)
             mine[pid] = mine.get(pid, 0) + 1
-            log.append(("fix", pid))
         elif op == "unfix":
             pid = rng.choice(list(mine))
-            buf.session_unfix(pid, sid)
-            log.append(("unfix", pid, False))
+            buf.unfix(pid)
             if mine[pid] == 1:
                 del mine[pid]
             else:
                 mine[pid] -= 1
         elif op == "read":
             pid = rng.choice(pages)
-            data = buf.session_fix(pid, sid)
+            data = buf.fix(pid)
             # A resident page must always show the shadow-model bytes:
             # any divergence here is a lost or phantom update.
             assert bytes(data) == bytes(expected[pid]), f"page {pid} diverged"
-            buf.session_unfix(pid, sid)
-            log.append(("fix", pid))
-            log.append(("unfix", pid, False))
+            buf.unfix(pid)
         else:  # update
             pid = rng.choice(pages)
             offset = rng.randrange(PAGE_SIZE - 2)
             token = (token + 1) % 65536
-            data = buf.session_fix(pid, sid)
+            data = buf.fix(pid)
             data[offset] = token >> 8
             data[offset + 1] = token & 0xFF
             expected[pid][offset] = token >> 8
             expected[pid][offset + 1] = token & 0xFF
-            buf.session_unfix(pid, sid, dirty=True)
-            log.append(("update", pid, offset, token))
-        # The core latch guarantee, checked at every step: frames some
-        # session holds fixed are never evicted out from under it.
+            buf.unfix(pid, dirty=True)
+        # Checked at every step: frames some session holds fixed are
+        # never evicted out from under it.
         for pid in pinned_pages():
             assert buf.is_resident(pid), f"pinned page {pid} was evicted"
 
-    # Disconnect every session, then flush: the final heap must equal
-    # the shadow byte model exactly (no lost updates).
-    for sid in range(SESSIONS):
-        buf.release_session(sid)
+    # Disconnect every session (release its remaining pins), then flush:
+    # the final disk image must equal the shadow byte model exactly.
+    for counts in held.values():
+        for pid, count in counts.items():
+            for _ in range(count):
+                buf.unfix(pid)
     assert not buf.fixed_pages()
     buf.flush()
-    # Counters first: the verification reads below go straight to the
-    # disk and would otherwise charge the multi-session tally.
-    multi_metrics = disk.metrics.snapshot()
-    multi_image = {pid: disk.read_page(pid) for pid in pages}
     for pid in pages:
-        assert multi_image[pid] == bytes(expected[pid]), f"page {pid} lost an update"
-
-    # Shadow replay: same operations, plain single-session API, fresh
-    # engine.  The ledger must have been pure bookkeeping.
-    disk2, buf2, pages2 = build(fuzz_seed)
-    assert pages2 == pages
-    disk2.metrics.reset()
-    for entry in log:
-        if entry[0] == "fix":
-            buf2.fix(entry[1])
-        elif entry[0] == "unfix":
-            buf2.unfix(entry[1], dirty=entry[2])
-        else:
-            _, pid, offset, tok = entry
-            data = buf2.fix(pid)
-            data[offset] = tok >> 8
-            data[offset + 1] = tok & 0xFF
-            buf2.unfix(pid, dirty=True)
-    # The multi-session run released leftover pins without unfix log
-    # entries; mirror that by dropping whatever is still fixed.
-    for pid in list(buf2.fixed_pages()):
-        frame = buf2._frames[pid]
-        frame.fix_count = 0
-    buf2.flush()
-    assert disk2.metrics.snapshot() == multi_metrics
-    for pid in pages:
-        assert disk2.read_page(pid) == multi_image[pid], f"page {pid} shadow mismatch"
+        assert disk.read_page(pid) == bytes(expected[pid]), f"page {pid} lost an update"
 
 
 def test_interleaving_is_deterministic_per_seed(fuzz_seed):
@@ -153,16 +114,15 @@ def test_interleaving_is_deterministic_per_seed(fuzz_seed):
     def final_state(run):
         rng = random.Random(fuzz_seed)
         disk, buf, pages = build(fuzz_seed)
-        buf.enable_latching()
         for step in range(120):
             sid = rng.randrange(SESSIONS)
             pid = pages[rng.randrange(len(pages))]
-            data = buf.session_fix(pid, sid)
+            data = buf.fix(pid)
             if rng.random() < 0.5:
                 data[step % PAGE_SIZE] = (sid * 37 + step) % 256
-                buf.session_unfix(pid, sid, dirty=True)
+                buf.unfix(pid, dirty=True)
             else:
-                buf.session_unfix(pid, sid)
+                buf.unfix(pid)
         buf.flush()
         return [disk.read_page(pid) for pid in pages], disk.metrics.snapshot()
 

@@ -10,9 +10,17 @@ The two contracts everything else hangs off:
   scheduler's grant order, so 1, 2 and 4 workers are indistinguishable
   in every observable, including the final heap bytes.
 
+The ticket protocol is also the only frame-level safety the serving
+layer has: every engine call happens inside the ticket-serialised
+section, so no two page fixes are ever in flight at once.
+
 Plus the bridge back to the single-stream world: one client under the
 serving layer is *exactly* the ``WorkloadExecutor`` replay.
 """
+
+import sys
+import threading
+import time
 
 import pytest
 
@@ -96,6 +104,49 @@ class TestDeterminism:
         narrow, _ = serve(runner, spec, clients=3, workers=4, max_in_flight=1)
         assert narrow.result.raw == wide.result.raw
         assert narrow.stats == wide.stats
+
+    def test_engine_fixes_never_overlap(self, runner):
+        """Eight sessions on eight workers: the ticket protocol keeps at
+        most one ``BufferManager.fix`` in flight at any moment, while
+        the operations really are served by more than one thread."""
+        spec = WorkloadSpec(name="det", n_ops=24, seed=5)
+        model = runner.build_model(MODEL)
+        buffer = model.engine.buffer
+        plain_fix = buffer.fix
+        lock = threading.Lock()
+        state = {"in_flight": 0, "peak": 0, "calls": 0}
+        serving_threads = set()
+
+        def counting_fix(page_id):
+            with lock:
+                state["in_flight"] += 1
+                state["peak"] = max(state["peak"], state["in_flight"])
+                state["calls"] += 1
+                serving_threads.add(threading.current_thread().name)
+            try:
+                time.sleep(0)  # yield the GIL: an unserialised caller would overlap
+                return plain_fix(page_id)
+            finally:
+                with lock:
+                    state["in_flight"] -= 1
+
+        buffer.fix = counting_fix
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # frequent thread switches
+        try:
+            traces = make_client_traces(spec, model.n_objects, 8)
+            ServingExecutor(
+                model,
+                traces,
+                scheduler=make_scheduler("round-robin", seed=spec.seed),
+                workers=8,
+            ).run()
+        finally:
+            sys.setswitchinterval(switch_interval)
+            model.engine.close()
+        assert state["calls"] > 0
+        assert state["peak"] == 1
+        assert len(serving_threads) > 1
 
 
 class TestSingleClientParity:

@@ -1,6 +1,6 @@
 """AccessStats under the serving layer (the fix-listener regression).
 
-The serving executor installs its own latch-attribution fix listener;
+The serving executor installs its own per-session fix-attribution listener;
 an attached :class:`AccessStats` joins it *alongside*, through the
 multi-listener hook — it must neither displace the serving listener nor
 be displaced by it.  The regression these tests pin: with one client
